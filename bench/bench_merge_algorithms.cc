@@ -46,10 +46,6 @@ void BM_PairMerging(benchmark::State& state) {
   RunMerger(state, PairMerger());
 }
 
-void BM_PairMergingNoHeap(benchmark::State& state) {
-  RunMerger(state, PairMerger(false));
-}
-
 void BM_DirectedSearch(benchmark::State& state) {
   RunMerger(state, DirectedSearchMerger(8, 42));
 }
@@ -64,8 +60,6 @@ void BM_Clustering(benchmark::State& state) {
 BENCHMARK(qsp::BM_PartitionExact)->DenseRange(4, 12, 2)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(qsp::BM_PairMerging)->RangeMultiplier(2)->Range(8, 256)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(qsp::BM_PairMergingNoHeap)->RangeMultiplier(2)->Range(8, 128)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(qsp::BM_DirectedSearch)->RangeMultiplier(2)->Range(8, 64)
     ->Unit(benchmark::kMillisecond);

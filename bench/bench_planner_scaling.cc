@@ -63,7 +63,7 @@ struct Cell {
 
 std::unique_ptr<Merger> Make(const std::string& merger, bool pruning) {
   if (merger == "pair") {
-    return std::make_unique<PairMerger>(/*use_heap=*/true, pruning);
+    return std::make_unique<PairMerger>(pruning);
   }
   if (merger == "clustering") {
     return std::make_unique<ClusteringMerger>(/*exact_component_limit=*/10,

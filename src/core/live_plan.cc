@@ -120,7 +120,7 @@ size_t LivePlanManager::SweepExpired() {
 
 void LivePlanManager::RunReplanJob(ReplanJob* job, const CostModel& model,
                                    bool pruning, int shards) {
-  PairMerger merger(/*use_heap=*/true, pruning);
+  PairMerger merger(pruning);
   if (shards > 1) {
     // Sharded replan (DESIGN.md §13): the dense snapshot fans out
     // across the exec pool exactly like an offline sharded plan. The
@@ -169,14 +169,14 @@ void LivePlanManager::TriggerReplan() {
   if (opts_.replan_background) {
     ReplanJob* raw = job.get();
     const CostModel model = model_;
-    const bool pruning = opts_.replan_pruning;
+    const bool pruning = opts_.pruning;
     const int shards = opts_.shards;
     job->thread = std::thread([raw, model, pruning, shards] {
       RunReplanJob(raw, model, pruning, shards);
     });
     replan_job_ = std::move(job);
   } else {
-    RunReplanJob(job.get(), model_, opts_.replan_pruning, opts_.shards);
+    RunReplanJob(job.get(), model_, opts_.pruning, opts_.shards);
     replan_job_ = std::move(job);
     // Inline replans finish immediately; adoption happens in the same
     // batch (FinishReplan is the caller's next step).

@@ -67,10 +67,9 @@ struct LiveServiceConfig {
   /// the old plan; the result is adopted at the start of a later batch).
   /// Off = replans run inline in ProcessBatch.
   bool replan_background = false;
-  /// Pruning (DESIGN.md §8) for the incremental merger's scans.
+  /// Pruning (DESIGN.md §8) for the incremental merger's scans and the
+  /// from-scratch replans (PairMerger).
   bool pruning = true;
-  /// Pruning for the from-scratch replans (PairMerger).
-  bool replan_pruning = true;
   /// Sharded from-scratch replans (DESIGN.md §13): with a value N > 1,
   /// drift replans and ReplanNow plan their dense snapshot through
   /// ShardedPlanner (cost-balanced assignment) wrapping the PairMerger,

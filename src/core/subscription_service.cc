@@ -36,7 +36,7 @@ std::unique_ptr<Merger> MakeMerger(MergerKind kind, uint64_t seed,
                                    bool pruning) {
   switch (kind) {
     case MergerKind::kPairMerging:
-      return std::make_unique<PairMerger>(/*use_heap=*/true, pruning);
+      return std::make_unique<PairMerger>(pruning);
     case MergerKind::kDirectedSearch:
       return std::make_unique<DirectedSearchMerger>(8, seed, pruning);
     case MergerKind::kClustering:

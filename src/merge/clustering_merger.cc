@@ -161,10 +161,11 @@ Result<MergeOutcome> ClusteringMerger::DoMerge(const MergeContext& ctx,
   }
 
   // Solve each cluster independently. Greedy subsolves inherit this
-  // merger's pruning setting so that pruning = false really is the
-  // end-to-end exhaustive baseline (the result is identical either way;
-  // only the evaluation counts differ).
-  const PairMerger pair_merger(/*use_heap=*/true, pruning_);
+  // merger's pruning setting, so with pruning = false they score every
+  // pair of the cluster exactly (PairMerger's unbounded mode), on top of
+  // the unpruned pair graph above. The result is identical either way;
+  // only the evaluation counts differ.
+  const PairMerger pair_merger(pruning_);
   for (const auto& cluster : clusters) {
     if (cluster.empty()) continue;
     if (cluster.size() == 1) {

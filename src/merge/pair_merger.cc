@@ -1,7 +1,7 @@
 #include "merge/pair_merger.h"
 
 #include <algorithm>
-#include <map>
+#include <optional>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -14,38 +14,23 @@
 namespace qsp {
 namespace {
 
-/// One profit-table entry: the benefit of merging live groups a and b.
-struct ProfitEntry {
-  double benefit;
-  size_t a;
-  size_t b;
-  bool operator<(const ProfitEntry& other) const {
-    // Max-heap on benefit; equal benefits rank the smaller (a, b) first.
-    // The tie-break must come from the stable group ids — never from
-    // push order, which is a scheduling artifact — so the heap variant
-    // picks the same pair as the table variant's ordered scan and the
-    // chosen merge sequence is reproducible run to run.
-    if (benefit != other.benefit) return benefit < other.benefit;
-    if (a != other.a) return a > other.a;
-    return b > other.b;
-  }
-};
-
-/// Pruned-path heap entry: `benefit` is the exact merge benefit when
-/// `exact`, else an admissible upper bound on it. The ordering is the
-/// same as ProfitEntry's, which is what makes lazy refinement exact:
-/// when an exact entry surfaces at the top, every other live pair's
-/// entry — bound or exact — carries a key >= its true benefit, so no
-/// other pair can beat the popped one, and among equal benefits the
-/// stable-id tie-break still ranks the smallest pair first (an
-/// equal-valued bound of a smaller pair would have surfaced and been
-/// refined before this pop).
-struct BoundedEntry {
+/// Profit-heap entry: `benefit` is the exact benefit of merging live
+/// groups a and b when `exact`, else an admissible upper bound on it.
+/// Max-heap on benefit; equal benefits rank the smaller (a, b) first. The
+/// tie-break must come from the stable group ids — never from push order,
+/// which is a scheduling artifact — so the heap picks the same pair as
+/// the paper's ordered table scan and the merge sequence is reproducible
+/// run to run. The same ordering makes lazy refinement exact: when an
+/// exact entry surfaces at the top, every other live pair's entry — bound
+/// or exact — carries a key >= its true benefit, so no other pair can
+/// beat the popped one, and among equal benefits an equal-valued bound of
+/// a smaller pair would have surfaced and been refined before this pop.
+struct HeapEntry {
   double benefit;
   size_t a;
   size_t b;
   bool exact;
-  bool operator<(const BoundedEntry& other) const {
+  bool operator<(const HeapEntry& other) const {
     if (benefit != other.benefit) return benefit < other.benefit;
     if (a != other.a) return a > other.a;
     return b > other.b;
@@ -59,10 +44,9 @@ std::vector<double> PairMerger::EvaluatePairBenefits(
     const std::vector<QueryGroup>& groups,
     const std::vector<double>& group_cost,
     const std::vector<std::pair<size_t, size_t>>& pairs) {
-  // The profit-table kernel: each pair is independent, so the evaluations
-  // fan out across the exec pool; result k always belongs to pairs[k], so
-  // the output is identical for any thread count (with threads=1 this is
-  // the plain serial loop, in the same evaluation order as ever).
+  // Each pair is independent, so the evaluations fan out across the exec
+  // pool; result k always belongs to pairs[k], so the output is identical
+  // for any thread count (with threads=1 this is the plain serial loop).
   return exec::ParallelMap<double>(pairs.size(), [&](size_t k) {
     const auto& [i, j] = pairs[k];
     const QueryGroup merged = UnionGroups(groups[i], groups[j]);
@@ -73,183 +57,79 @@ std::vector<double> PairMerger::EvaluatePairBenefits(
 MergeOutcome PairMerger::MergeFrom(const MergeContext& ctx,
                                    const CostModel& model,
                                    Partition start) const {
-  if (pruning_ && model.SupportsBenefitBounds()) {
-    return MergeFromPruned(ctx, model, std::move(start));
-  }
+  // The greedy loop over a lazy max-heap (DESIGN.md §8). Entries are
+  // immutable once pushed; a merge marks its two groups dead, which
+  // invalidates their entries lazily. Every entry whose endpoints are both
+  // alive stays accurate, because a group's cost never changes after
+  // creation (merges only create fresh indices). Non-positive benefits
+  // are never pushed, so the loop stops when no merge helps. Only the
+  // scoring differs between the modes (see the class comment):
+  //  * with bounds, candidates come from a SpatialGrid over group bounding
+  //    boxes — pairs outside a group's search window provably have a
+  //    non-positive benefit bound — and the heap holds upper bounds.
+  //    Refinement is inherently one-at-a-time, so this mode does not use
+  //    the exec pool;
+  //  * without bounds, every live pair is pushed with its exact benefit,
+  //    evaluated in bulk by EvaluatePairBenefits and pushed serially in
+  //    ascending (i, j) order.
+  // A refined bound is the identical arithmetic expression
+  // EvaluatePairBenefits computes, so both modes apply the same merges.
   MergeOutcome outcome;
   uint64_t merges_applied = 0;
   uint64_t stale_heap_pops = 0;
+  std::optional<plan::BenefitBounder> bounder;
+  if (pruning_ && model.SupportsBenefitBounds()) bounder.emplace(ctx, model);
+
   std::vector<QueryGroup> groups = std::move(start);
   std::vector<bool> alive(groups.size(), true);
-  std::vector<double> group_cost(groups.size());
-  for (size_t i = 0; i < groups.size(); ++i) {
-    group_cost[i] = model.GroupCost(ctx, groups[i]);
-  }
-
-  // Profit Table: benefit of merging each live pair. The map variant is
-  // the paper's table; the heap variant keeps the same values in a lazy
-  // priority queue.
-  std::map<std::pair<size_t, size_t>, double> table;
-  std::priority_queue<ProfitEntry> heap;
-
-  auto record_benefit = [&](size_t i, size_t j, double benefit) {
-    if (use_heap_) {
-      if (benefit > 0) heap.push({benefit, i, j});
-    } else {
-      table[{i, j}] = benefit;
-    }
-  };
-
-  // Benefits are evaluated in bulk (parallel across the exec pool), then
-  // recorded serially in ascending (i, j) order, so heap and table
-  // contents never depend on scheduling.
-  std::vector<std::pair<size_t, size_t>> pending;
-  auto flush_pending = [&] {
-    const std::vector<double> benefits =
-        EvaluatePairBenefits(ctx, model, groups, group_cost, pending);
-    outcome.candidates += pending.size();
-    for (size_t k = 0; k < pending.size(); ++k) {
-      record_benefit(pending[k].first, pending[k].second, benefits[k]);
-    }
-    pending.clear();
-  };
-
-  for (size_t i = 0; i < groups.size(); ++i) {
-    if (!alive[i]) continue;
-    for (size_t j = i + 1; j < groups.size(); ++j) {
-      if (alive[j]) pending.emplace_back(i, j);
-    }
-  }
-  flush_pending();
-
-  while (true) {
-    size_t best_a = 0, best_b = 0;
-    double best_benefit = 0.0;
-    if (use_heap_) {
-      // Pop until a live, still-accurate entry surfaces. Entries are
-      // immutable once pushed; merging marks groups dead, which
-      // invalidates their entries lazily — every entry whose endpoints
-      // are both alive is accurate, because a group's cost never changes
-      // after creation (merges only create fresh indices).
-      bool found = false;
-      while (!heap.empty()) {
-        const ProfitEntry top = heap.top();
-        heap.pop();
-        if (!alive[top.a] || !alive[top.b]) {
-          ++stale_heap_pops;
-          continue;
-        }
-        best_a = top.a;
-        best_b = top.b;
-        best_benefit = top.benefit;
-        found = true;
-        break;
-      }
-      if (!found) break;
-    } else {
-      // std::map iterates keys in ascending (i, j) order, so the strict
-      // `>` keeps the smallest pair among equal benefits — the same
-      // stable-id tie-break as the heap comparator above.
-      for (const auto& [pair, benefit] : table) {
-        if (benefit > best_benefit) {
-          best_benefit = benefit;
-          best_a = pair.first;
-          best_b = pair.second;
-        }
-      }
-      if (best_benefit <= 0.0) break;
-    }
-
-    // Merge best_a and best_b into a fresh group.
-    ++merges_applied;
-    QueryGroup merged = UnionGroups(groups[best_a], groups[best_b]);
-    alive[best_a] = false;
-    alive[best_b] = false;
-    if (!use_heap_) {
-      // Entries referencing the two dead groups are erased eagerly, so
-      // the table never carries stale rows into the next argmax.
-      for (auto it = table.begin(); it != table.end();) {
-        const auto& [i, j] = it->first;
-        if (i == best_a || i == best_b || j == best_a || j == best_b) {
-          it = table.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-    const size_t new_index = groups.size();
-    groups.push_back(std::move(merged));
-    alive.push_back(true);
-    group_cost.push_back(model.GroupCost(ctx, groups[new_index]));
-    for (size_t i = 0; i < new_index; ++i) {
-      if (alive[i]) pending.emplace_back(i, new_index);
-    }
-    flush_pending();
-  }
-
-  for (size_t i = 0; i < groups.size(); ++i) {
-    if (alive[i]) outcome.partition.push_back(groups[i]);
-  }
-  CanonicalizePartition(&outcome.partition);
-  outcome.cost = model.PartitionCost(ctx, outcome.partition);
-  obs::Count("merge.pair-merging.merges_applied", merges_applied);
-  obs::Count("merge.pair-merging.stale_heap_pops", stale_heap_pops);
-  return outcome;
-}
-
-MergeOutcome PairMerger::MergeFromPruned(const MergeContext& ctx,
-                                         const CostModel& model,
-                                         Partition start) const {
-  // The accelerated greedy loop (DESIGN.md §8). Differences from the
-  // exhaustive path above, none of which change the output:
-  //  * candidate pairs come from a SpatialGrid over group bounding boxes
-  //    — pairs outside a group's search window provably have a
-  //    non-positive benefit bound, and the exhaustive path never applies
-  //    non-positive merges;
-  //  * the heap holds admissible upper bounds; popping a bound refines
-  //    it to the exact benefit (the identical arithmetic expression the
-  //    exhaustive path evaluates) and re-pushes, so only pairs whose
-  //    bound ever reaches the global top pay an exact GroupCost;
-  //  * refinement is inherently one-at-a-time, so this path does not use
-  //    the exec pool — its output is trivially thread-count-invariant.
-  MergeOutcome outcome;
-  uint64_t merges_applied = 0;
-  uint64_t stale_heap_pops = 0;
-  uint64_t& bounds_pruned = outcome.bounds_pruned;
-  uint64_t& bounds_refined = outcome.bounds_refined;
-  const plan::BenefitBounder bounder(ctx, model);
-  std::vector<QueryGroup> groups = std::move(start);
-  std::vector<bool> alive(groups.size(), true);
-  std::vector<double> group_cost(groups.size());
-  std::vector<plan::GroupSummary> summaries(groups.size());
+  std::vector<double> group_cost;
+  std::vector<plan::GroupSummary> summaries;  // With bounds only.
   double max_cost = 0.0;
-  for (size_t i = 0; i < groups.size(); ++i) {
-    summaries[i] = bounder.Summarize(groups[i]);
-    group_cost[i] = summaries[i].cost;
-    max_cost = std::max(max_cost, summaries[i].cost);
+  auto add_cost = [&](size_t i) {
+    if (bounder) {
+      summaries.push_back(bounder->Summarize(groups[i]));
+      group_cost.push_back(summaries[i].cost);
+      max_cost = std::max(max_cost, summaries[i].cost);
+    } else {
+      group_cost.push_back(model.GroupCost(ctx, groups[i]));
+    }
+  };
+  for (size_t i = 0; i < groups.size(); ++i) add_cost(i);
+
+  std::optional<SpatialGrid> grid;
+  if (bounder) {
+    std::vector<Rect> bboxes(groups.size());
+    for (size_t i = 0; i < groups.size(); ++i) bboxes[i] = summaries[i].bbox;
+    grid.emplace(SpatialGrid::ForRects(bboxes));
+    for (size_t i = 0; i < groups.size(); ++i) {
+      grid->Insert(static_cast<uint32_t>(i), bboxes[i]);
+    }
   }
 
-  std::vector<Rect> bboxes(groups.size());
-  for (size_t i = 0; i < groups.size(); ++i) bboxes[i] = summaries[i].bbox;
-  SpatialGrid grid = SpatialGrid::ForRects(bboxes);
-  for (size_t i = 0; i < groups.size(); ++i) {
-    grid.Insert(static_cast<uint32_t>(i), bboxes[i]);
-  }
-
-  std::priority_queue<BoundedEntry> heap;
+  std::priority_queue<HeapEntry> heap;
   size_t live_count = groups.size();
 
-  // Bounds the pairs (i, j) for every live candidate j != i drawn from
-  // i's search window, keeping only j `above` (j > i at seeding, where
-  // the loop covers each unordered pair once from its smaller side; the
-  // fresh group is the largest index, so incremental re-pairing passes
-  // above = false and bounds (j, i) instead). Pairs skipped by the
-  // window or by a non-positive bound are counted against `possible`,
-  // the number of live partners an exhaustive scan would have evaluated.
+  // Scores the pairs (i, j) for every live partner j != i, keeping only
+  // j > i when `above` (seeding covers each unordered pair once from its
+  // smaller side; the fresh group is the largest index, so re-pairing
+  // passes above = false and scores (j, i) instead). Without bounds the
+  // pairs queue in `pending` for the bulk exact evaluation. With bounds
+  // they are drawn from i's search window and bounded at once; pairs
+  // skipped by the window or by a non-positive bound are counted against
+  // `possible`, the number of live partners.
+  std::vector<std::pair<size_t, size_t>> pending;
   std::vector<uint32_t> cands;
-  auto bound_pairs_of = [&](size_t i, bool above, size_t possible) {
+  auto score_pairs_of = [&](size_t i, bool above, size_t possible) {
+    if (!bounder) {
+      for (size_t j = above ? i + 1 : 0; j < groups.size(); ++j) {
+        if (j != i && alive[j]) {
+          pending.emplace_back(std::min(i, j), std::max(i, j));
+        }
+      }
+      return;
+    }
     cands.clear();
-    grid.Query(bounder.SearchWindow(summaries[i], max_cost), &cands);
+    grid->Query(bounder->SearchWindow(summaries[i], max_cost), &cands);
     size_t considered = 0;
     for (uint32_t j : cands) {
       if (j == i || !alive[j]) continue;
@@ -257,74 +137,75 @@ MergeOutcome PairMerger::MergeFromPruned(const MergeContext& ctx,
       ++considered;
       const size_t lo = std::min<size_t>(i, j);
       const size_t hi = std::max<size_t>(i, j);
-      const double ub = bounder.UpperBound(summaries[lo], summaries[hi]);
+      const double ub = bounder->UpperBound(summaries[lo], summaries[hi]);
       if (ub > 0.0) {
         heap.push({ub, lo, hi, false});
       } else {
-        ++bounds_pruned;
+        ++outcome.bounds_pruned;
       }
     }
-    bounds_pruned += possible - considered;
+    outcome.bounds_pruned += possible - considered;
+  };
+  auto evaluate_pending = [&] {
+    if (pending.empty()) return;
+    const std::vector<double> benefits =
+        EvaluatePairBenefits(ctx, model, groups, group_cost, pending);
+    outcome.candidates += pending.size();
+    for (size_t k = 0; k < pending.size(); ++k) {
+      if (benefits[k] > 0.0) {
+        heap.push({benefits[k], pending[k].first, pending[k].second, true});
+      }
+    }
+    pending.clear();
   };
 
-  {
-    // Seed every unordered live pair from its smaller index's window.
-    size_t live_above = live_count;
-    for (size_t i = 0; i < groups.size(); ++i) {
-      if (!alive[i]) continue;
-      --live_above;
-      bound_pairs_of(i, /*above=*/true, /*possible=*/live_above);
-    }
+  for (size_t i = 0; i < groups.size(); ++i) {
+    score_pairs_of(i, /*above=*/true, /*possible=*/groups.size() - 1 - i);
   }
+  evaluate_pending();
 
   while (true) {
-    size_t best_a = 0, best_b = 0;
-    double best_benefit = 0.0;
-    bool found = false;
+    std::optional<HeapEntry> best;
     while (!heap.empty()) {
-      const BoundedEntry top = heap.top();
+      const HeapEntry top = heap.top();
       heap.pop();
       if (!alive[top.a] || !alive[top.b]) {
         ++stale_heap_pops;
         continue;
       }
-      if (!top.exact) {
-        // Refine: the exact expression is the one EvaluatePairBenefits
-        // uses, so the refined value is bit-identical to the exhaustive
-        // table's. Non-positive exact benefits are dropped, exactly as
-        // record_benefit drops them.
-        ++bounds_refined;
-        ++outcome.candidates;
-        const QueryGroup merged = UnionGroups(groups[top.a], groups[top.b]);
-        const double benefit =
-            group_cost[top.a] + group_cost[top.b] - model.GroupCost(ctx, merged);
-        if (benefit > 0.0) heap.push({benefit, top.a, top.b, true});
-        continue;
+      if (top.exact) {
+        best = top;
+        break;
       }
-      best_a = top.a;
-      best_b = top.b;
-      best_benefit = top.benefit;
-      found = true;
-      break;
+      // Refine a bound to the exact benefit and re-push it.
+      ++outcome.bounds_refined;
+      ++outcome.candidates;
+      const QueryGroup merged = UnionGroups(groups[top.a], groups[top.b]);
+      const double benefit =
+          group_cost[top.a] + group_cost[top.b] - model.GroupCost(ctx, merged);
+      if (benefit > 0.0) heap.push({benefit, top.a, top.b, true});
     }
-    if (!found) break;
-    (void)best_benefit;
+    if (!best) break;
 
     ++merges_applied;
-    QueryGroup merged = UnionGroups(groups[best_a], groups[best_b]);
-    alive[best_a] = false;
-    alive[best_b] = false;
-    grid.Remove(static_cast<uint32_t>(best_a), summaries[best_a].bbox);
-    grid.Remove(static_cast<uint32_t>(best_b), summaries[best_b].bbox);
+    QueryGroup merged = UnionGroups(groups[best->a], groups[best->b]);
+    alive[best->a] = false;
+    alive[best->b] = false;
+    if (grid) {
+      grid->Remove(static_cast<uint32_t>(best->a), summaries[best->a].bbox);
+      grid->Remove(static_cast<uint32_t>(best->b), summaries[best->b].bbox);
+    }
     --live_count;
     const size_t new_index = groups.size();
     groups.push_back(std::move(merged));
     alive.push_back(true);
-    summaries.push_back(bounder.Summarize(groups[new_index]));
-    group_cost.push_back(summaries[new_index].cost);
-    max_cost = std::max(max_cost, summaries[new_index].cost);
-    grid.Insert(static_cast<uint32_t>(new_index), summaries[new_index].bbox);
-    bound_pairs_of(new_index, /*above=*/false, /*possible=*/live_count - 1);
+    add_cost(new_index);
+    if (grid) {
+      grid->Insert(static_cast<uint32_t>(new_index),
+                   summaries[new_index].bbox);
+    }
+    score_pairs_of(new_index, /*above=*/false, /*possible=*/live_count - 1);
+    evaluate_pending();
   }
 
   for (size_t i = 0; i < groups.size(); ++i) {
@@ -334,8 +215,8 @@ MergeOutcome PairMerger::MergeFromPruned(const MergeContext& ctx,
   outcome.cost = model.PartitionCost(ctx, outcome.partition);
   obs::Count("merge.pair-merging.merges_applied", merges_applied);
   obs::Count("merge.pair-merging.stale_heap_pops", stale_heap_pops);
-  obs::Count("plan.bounds.pruned", bounds_pruned);
-  obs::Count("plan.bounds.refined", bounds_refined);
+  obs::Count("plan.bounds.pruned", outcome.bounds_pruned);
+  obs::Count("plan.bounds.refined", outcome.bounds_refined);
   return outcome;
 }
 

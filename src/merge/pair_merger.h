@@ -11,26 +11,31 @@ namespace qsp {
 /// The greedy Pair Merging Algorithm of Section 6.2.1. Starts from
 /// singleton groups, repeatedly merges the pair of groups with the largest
 /// positive benefit Cost_old - Cost_new, and stops when no merge helps.
-/// Benefits are kept in a Profit Table so only the pairs involving the
-/// freshly merged group are re-evaluated each round, exactly as the paper
-/// prescribes; `use_heap` selects between the paper's table-with-rescan
-/// and a lazy max-heap over the same table (identical results, different
-/// constants — compared in bench_profit_table).
+/// The paper's Profit Table is kept as a lazy max-heap of pair benefits,
+/// so only the pairs involving the freshly merged group are scored each
+/// round. Ties go to the smallest (a, b) group-id pair, exactly as the
+/// paper's ordered table scan picks them (the rescanned table survives as
+/// the test oracle in tests/reference_pair_merger.h).
 ///
-/// O(|Q|^2) group evaluations; guaranteed optimal for |Q| <= 2.
+/// Two scoring modes share that one loop and apply the same merges:
+///  * with bounds (`pruning` and CostModel::SupportsBenefitBounds()), each
+///    group scores only the partners inside its search window with an
+///    admissible upper bound, and a bound is refined to the exact benefit
+///    only when it reaches the top of the heap (DESIGN.md §8);
+///  * without bounds, every live pair's exact benefit is evaluated, in
+///    bulk across the exec pool (EvaluatePairBenefits): C(n,2) evaluations
+///    up front plus one per live partner of each merged group.
+/// Partition and cost are bit-identical between the modes; only the
+/// number of exact evaluations (`candidates`) differs.
+///
+/// O(|Q|^2) group evaluations without bounds; guaranteed optimal for
+/// |Q| <= 2.
 class PairMerger : public Merger {
  public:
-  /// `pruning` enables the planning-acceleration layer (DESIGN.md §8):
-  /// candidate pairs come from a spatial grid over group bounding boxes,
-  /// the profit heap holds cheap admissible upper bounds, and the exact
-  /// benefit is evaluated lazily only when a bound surfaces at the top of
-  /// the heap. The chosen merge sequence — and therefore the partition
-  /// and cost — is bit-identical to the exhaustive path; only the number
-  /// of exact GroupCost evaluations changes. Automatically falls back to
-  /// the exhaustive path when the cost model or estimator cannot support
-  /// admissible bounds (plan::BenefitBounder::enabled()).
-  explicit PairMerger(bool use_heap = true, bool pruning = true)
-      : use_heap_(use_heap), pruning_(pruning) {}
+  /// `pruning` selects the bounded scoring mode whenever the cost model
+  /// admits benefit bounds; models with a negative coefficient always
+  /// run unbounded.
+  explicit PairMerger(bool pruning = true) : pruning_(pruning) {}
 
   /// Runs the same greedy loop starting from an arbitrary partition
   /// instead of singletons (used by the directed search and the channel
@@ -38,7 +43,7 @@ class PairMerger : public Merger {
   MergeOutcome MergeFrom(const MergeContext& ctx, const CostModel& model,
                          Partition start) const;
 
-  /// The Profit Table construction kernel: the benefit of merging
+  /// The unbounded mode's scoring kernel: the benefit of merging
   /// groups[i] with groups[j] for every requested (i, j), given each
   /// group's precomputed cost. Evaluations fan out across the qsp::exec
   /// default executor; result k corresponds to pairs[k] for any thread
@@ -57,10 +62,6 @@ class PairMerger : public Merger {
                                const CostModel& model) const override;
 
  private:
-  MergeOutcome MergeFromPruned(const MergeContext& ctx, const CostModel& model,
-                               Partition start) const;
-
-  bool use_heap_;
   bool pruning_;
 };
 

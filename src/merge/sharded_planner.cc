@@ -222,7 +222,7 @@ Result<ShardedMergeOutcome> ShardedPlanner::Plan(const MergeContext& ctx,
   // same memo the final costing uses). Interior groups are untouched.
   if (seam_start.size() > 1) {
     CanonicalizePartition(&seam_start);
-    const PairMerger seam_merger(/*use_heap=*/true, options_.pruning);
+    const PairMerger seam_merger(options_.pruning);
     const size_t groups_in = seam_start.size();
     obs::ScopedSpan seam_span("plan/seam");
     MergeOutcome seam =

@@ -263,7 +263,7 @@ Result<ChurnOutcome> RunServiceChurn(const ChurnConfig& config) {
     }
     if (snap.size() > 0) {
       MergeContext snap_ctx(&snap, &estimator, &procedure);
-      PairMerger merger(/*use_heap=*/true, /*pruning=*/true);
+      PairMerger merger(/*pruning=*/true);
       Result<MergeOutcome> fresh = merger.Merge(snap_ctx, config.cost_model);
       if (fresh.ok()) {
         outcome.fresh_cost = fresh.value().cost;

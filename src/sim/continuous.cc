@@ -68,13 +68,6 @@ Result<ContinuousOutcome> RunContinuous(const ContinuousConfig& config) {
       opts.repair_max_moves = 0;  // Repair to a local minimum per batch.
       break;
   }
-  // kReplanEachRound is the *naive* baseline the incremental policies are
-  // measured against, so its from-scratch replans run the exhaustive
-  // (unpruned) pair merger — their maintenance_evals then count every
-  // pair evaluation, the work a replan fundamentally redoes each round.
-  // (The pruned merger returns the identical partition while evaluating
-  // almost nothing, which would make the baseline meaningless.)
-  opts.replan_pruning = false;
   LivePlanManager live(&queries, &ctx, config.cost_model, opts);
 
   // Active subscriptions, FIFO for departures.
@@ -94,7 +87,6 @@ Result<ContinuousOutcome> RunContinuous(const ContinuousConfig& config) {
   ContinuousOutcome outcome;
   outcome.all_deltas_correct = true;
   uint64_t evals_before = live.evaluations();
-  uint64_t replan_evals_before = live.Stats().replan_evaluations;
 
   for (int round = 0; round < config.rounds; ++round) {
     // --- Subscription churn.
@@ -112,19 +104,28 @@ Result<ContinuousOutcome> RunContinuous(const ContinuousConfig& config) {
     stats.round = round;
     stats.active_queries = active.size();
     QSP_IGNORE_RESULT(live.DrainAll());
-    if (config.maintenance == PlanMaintenance::kReplanEachRound) {
-      QSP_CHECK(live.ReplanNow().ok());
-      const uint64_t replan_evals = live.Stats().replan_evaluations;
-      stats.maintenance_evals = replan_evals - replan_evals_before;
-      replan_evals_before = replan_evals;
-      evals_before = live.evaluations();
-    } else {
-      stats.maintenance_evals = live.evaluations() - evals_before;
-      evals_before = live.evaluations();
-    }
+    const bool replan = config.maintenance == PlanMaintenance::kReplanEachRound;
+    if (replan) QSP_CHECK(live.ReplanNow().ok());
     stats.plan_cost = live.cost();
     const Partition plan = live.PlanSnapshot();
     stats.groups = plan.size();
+    if (replan) {
+      // The re-plan policy is the *naive* baseline the incremental
+      // policies are measured against, so it is charged every pair
+      // evaluation a from-scratch greedy replan fundamentally redoes:
+      // all C(n,2) pairs of the n planned queries, then the fresh group
+      // against its n-1-k live partners after the k-th of the m merges.
+      // The replan itself runs pruned and applies the same merges (the
+      // adopted plan has n - m groups) while evaluating almost nothing,
+      // which would make the baseline meaningless.
+      const uint64_t n = stats.active_queries;
+      const uint64_t m = n - stats.groups;
+      stats.maintenance_evals =
+          n * (n - 1) / 2 + m * (n - 1) - m * (m + 1) / 2;
+    } else {
+      stats.maintenance_evals = live.evaluations() - evals_before;
+    }
+    evals_before = live.evaluations();
 
     // --- New objects this round.
     Delta delta;

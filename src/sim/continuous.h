@@ -63,6 +63,8 @@ struct ContinuousRoundStats {
   /// Estimated plan cost after this round's maintenance.
   double plan_cost = 0.0;
   /// Candidate-group evaluations spent on plan maintenance this round.
+  /// kReplanEachRound is charged the exhaustive greedy count of its
+  /// replan, C(n,2) + sum_{k=1..m} (n-1-k) for n queries and m merges.
   uint64_t maintenance_evals = 0;
 };
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "sim/continuous.h"
 
@@ -106,6 +107,26 @@ TEST(ContinuousTest, ReplanSpendsMoreMaintenanceWorkThanIncremental) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_LT(a->total_maintenance_evals, b->total_maintenance_evals);
+}
+
+// The naive baseline is charged the exhaustive greedy evaluation count,
+// C(n,2) + sum_{k=1..m} (n-1-k) per round, whatever the replan actually
+// evaluated. The pinned values are what the baseline reported when its
+// replans ran the exhaustive pair merger and counted every evaluation,
+// so the closed form can never drift from the work it stands for.
+TEST(ContinuousTest, ReplanBaselineChargesExhaustiveGreedyEvaluations) {
+  ContinuousConfig config = SmallConfig(7);
+  config.maintenance = PlanMaintenance::kReplanEachRound;
+  auto outcome = RunContinuous(config);
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_EQ(outcome->total_maintenance_evals, 785u);
+  const std::vector<uint64_t> per_round = {93, 106, 100, 100,
+                                           100, 100, 93,  93};
+  ASSERT_EQ(outcome->rounds.size(), per_round.size());
+  for (size_t r = 0; r < per_round.size(); ++r) {
+    EXPECT_EQ(outcome->rounds[r].maintenance_evals, per_round[r])
+        << "round " << r;
+  }
 }
 
 TEST(ContinuousTest, RepairPlansAreNoWorseThanPlainIncremental) {

@@ -2,6 +2,7 @@
 
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cost/cost_model.h"
@@ -14,6 +15,7 @@
 #include "query/merge_context.h"
 #include "query/merge_procedure.h"
 #include "stats/size_estimator.h"
+#include "tests/reference_pair_merger.h"
 #include "util/bell.h"
 #include "util/rng.h"
 #include "workload/query_gen.h"
@@ -200,17 +202,44 @@ TEST(PairMergerTest, OptimalForTwoQueries) {
 }
 
 TEST(PairMergerTest, HeapAndTableVariantsAgree) {
+  // The library's heap loop, in both scoring modes, against the paper's
+  // rescanned Profit Table (tests/reference_pair_merger.h).
   for (uint64_t seed = 0; seed < 10; ++seed) {
     Instance inst(12, 800 + seed);
-    PairMerger heap(true), table(false);
-    auto a = heap.Merge(*inst.ctx, inst.model);
-    auto b = table.Merge(*inst.ctx, inst.model);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_NEAR(a->cost, b->cost, 1e-9) << "seed " << seed;
-    // The variants must agree on the partition itself, not just its
-    // cost — equal-benefit ties are broken by stable group ids in both.
-    EXPECT_EQ(a->partition, b->partition) << "seed " << seed;
+    auto table = ReferencePairMerger().Merge(*inst.ctx, inst.model);
+    ASSERT_TRUE(table.ok());
+    for (const bool pruning : {false, true}) {
+      auto heap = PairMerger(pruning).Merge(*inst.ctx, inst.model);
+      ASSERT_TRUE(heap.ok());
+      const std::string label =
+          "seed " + std::to_string(seed) + (pruning ? " bounded" : "");
+      EXPECT_EQ(heap->cost, table->cost) << label;
+      // The two must agree on the partition itself, not just its cost —
+      // equal-benefit ties are broken by stable group ids in both.
+      EXPECT_EQ(heap->partition, table->partition) << label;
+      if (!pruning) {
+        EXPECT_EQ(heap->candidates, table->candidates) << label;
+      }
+    }
+  }
+}
+
+// Without bounds the loop evaluates every live pair exactly once:
+// C(n,2) pairs up front, then after the k-th merge the fresh group
+// against its n-1-k live partners.
+TEST(PairMergerTest, UnboundedCandidatesMatchClosedForm) {
+  for (const size_t n : {2u, 7u, 15u, 30u}) {
+    for (uint64_t seed = 0; seed < 3; ++seed) {
+      Instance inst(n, 1000 + seed);
+      auto outcome =
+          PairMerger(/*pruning=*/false).Merge(*inst.ctx, inst.model);
+      ASSERT_TRUE(outcome.ok());
+      const uint64_t m = n - outcome->partition.size();
+      uint64_t expected = n * (n - 1) / 2;
+      for (uint64_t k = 1; k <= m; ++k) expected += n - 1 - k;
+      EXPECT_EQ(outcome->candidates, expected)
+          << "n " << n << " seed " << seed << " merges " << m;
+    }
   }
 }
 
@@ -218,12 +247,12 @@ TEST(PairMergerTest, TieBrokenBySmallestStableGroupId) {
   // An equally spaced chain of overlapping queries: by translation
   // symmetry every adjacent merge has a bit-identical benefit, and only
   // two of the four tied merges fire before the search stops. Both
-  // profit-table variants must resolve each tie to the smallest live
-  // pair — by stable group id, never by heap pop order or map iteration
-  // artifacts. (The third pick is the regression: after two merges the
-  // heap's pop reorganization has shuffled the tied entries, and a
-  // benefit-only comparator surfaces (5,6) ahead of (4,5), diverging
-  // from the table's ordered scan.)
+  // scoring modes and the table oracle must resolve each tie to the
+  // smallest live pair — by stable group id, never by heap pop order or
+  // map iteration artifacts. (The third pick is the regression: after
+  // two merges the heap's pop reorganization has shuffled the tied
+  // entries, and a benefit-only comparator surfaces (5,6) ahead of
+  // (4,5), diverging from the table's ordered scan.)
   QuerySet qs({Rect(0, 0, 2, 1), Rect(1, 0, 3, 1), Rect(2, 0, 4, 1),
                Rect(3, 0, 5, 1), Rect(4, 0, 6, 1), Rect(5, 0, 7, 1),
                Rect(6, 0, 8, 1)});
@@ -241,14 +270,17 @@ TEST(PairMergerTest, TieBrokenBySmallestStableGroupId) {
   }
   ASSERT_LT(model.MergeBenefit(ctx, {0}, {2}), b01);
 
-  for (const bool use_heap : {true, false}) {
-    PairMerger merger(use_heap);
-    auto result = merger.Merge(ctx, model);
+  const PairMerger bounded(/*pruning=*/true);
+  const PairMerger unbounded(/*pruning=*/false);
+  const ReferencePairMerger table;
+  const std::pair<const char*, const Merger*> variants[] = {
+      {"bounded", &bounded}, {"unbounded", &unbounded}, {"table", &table}};
+  for (const auto& [label, merger] : variants) {
+    auto result = merger->Merge(ctx, model);
     ASSERT_TRUE(result.ok());
     const Partition expected = {{0, 1}, {2, 3}, {4, 5}, {6}};
     EXPECT_EQ(result->partition, expected)
-        << (use_heap ? "heap" : "table")
-        << " variant broke a tie away from the smallest live pair";
+        << label << " variant broke a tie away from the smallest live pair";
   }
 }
 

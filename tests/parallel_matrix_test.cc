@@ -20,6 +20,7 @@
 #include "merge/directed_search_merger.h"
 #include "merge/pair_merger.h"
 #include "relation/generator.h"
+#include "tests/reference_pair_merger.h"
 #include "util/rng.h"
 #include "workload/client_gen.h"
 #include "workload/query_gen.h"
@@ -43,13 +44,9 @@ struct MergerCase {
 };
 
 const MergerCase kMergers[] = {
-    {"pair-heap",
+    {"pair",
      [](uint64_t, bool pruning) -> std::unique_ptr<Merger> {
-       return std::make_unique<PairMerger>(/*use_heap=*/true, pruning);
-     }},
-    {"pair-table",
-     [](uint64_t, bool pruning) -> std::unique_ptr<Merger> {
-       return std::make_unique<PairMerger>(/*use_heap=*/false, pruning);
+       return std::make_unique<PairMerger>(pruning);
      }},
     {"clustering",
      [](uint64_t, bool pruning) -> std::unique_ptr<Merger> {
@@ -102,6 +99,42 @@ TEST(ParallelMatrixTest, MergersMatchSerialAtAnyThreadCount) {
             golden_candidates = outcome->candidates;
           }
           EXPECT_EQ(outcome->candidates, golden_candidates) << label;
+        }
+      }
+    }
+  }
+}
+
+// The pair merger in both scoring modes against the paper's rescanned
+// Profit Table (tests/reference_pair_merger.h) at every thread count: the
+// unbounded mode fans its exact evaluations across the pool, and must
+// still return the oracle's partition and cost and evaluate exactly the
+// oracle's pairs.
+TEST(ParallelMatrixTest, PairMergerMatchesReferenceAtAnyThreadCount) {
+  const CostModel model = bench::Fig16CostModel();
+  for (const uint64_t seed : kSeeds) {
+    MergeOutcome reference;
+    {
+      bench::Instance inst(bench::Fig16WorkloadConfig(30), seed,
+                           bench::kFig16Density);
+      auto outcome = ReferencePairMerger().Merge(*inst.ctx, model);
+      ASSERT_TRUE(outcome.ok()) << "seed " << seed;
+      reference = *outcome;
+    }
+    for (const bool pruning : {false, true}) {
+      for (const int threads : kThreadCounts) {
+        ScopedThreads scoped(threads);
+        bench::Instance inst(bench::Fig16WorkloadConfig(30), seed,
+                             bench::kFig16Density);
+        auto outcome = PairMerger(pruning).Merge(*inst.ctx, model);
+        const std::string label = "seed " + std::to_string(seed) +
+                                  " threads " + std::to_string(threads) +
+                                  (pruning ? " pruned" : "");
+        ASSERT_TRUE(outcome.ok()) << label;
+        EXPECT_EQ(outcome->partition, reference.partition) << label;
+        EXPECT_EQ(outcome->cost, reference.cost) << label;
+        if (!pruning) {
+          EXPECT_EQ(outcome->candidates, reference.candidates) << label;
         }
       }
     }

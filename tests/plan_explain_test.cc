@@ -72,7 +72,7 @@ TEST(PlanExplain, PlanTotalMatchesMergerCost) {
 TEST(PlanExplain, BoundStatsAndMbr) {
   bench::Instance instance = MakeFig16Instance();
   const CostModel model = bench::Fig16CostModel();
-  PairMerger merger(/*use_heap=*/true, /*pruning=*/true);
+  PairMerger merger(/*pruning=*/true);
   Result<MergeOutcome> outcome = merger.Merge(*instance.ctx, model);
   ASSERT_TRUE(outcome.ok());
 

@@ -9,13 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "cost/cost_model.h"
+#include "exec/thread_pool.h"
 #include "geom/region.h"
 #include "merge/clustering_merger.h"
 #include "merge/directed_search_merger.h"
@@ -26,6 +29,7 @@
 #include "relation/generator.h"
 #include "stats/histogram_estimator.h"
 #include "stats/size_estimator.h"
+#include "tests/reference_pair_merger.h"
 #include "util/rng.h"
 #include "workload/query_gen.h"
 
@@ -82,7 +86,7 @@ struct MergerCase {
 const MergerCase kMergers[] = {
     {"pair-heap",
      [](uint64_t, bool pruning) -> std::unique_ptr<Merger> {
-       return std::make_unique<PairMerger>(/*use_heap=*/true, pruning);
+       return std::make_unique<PairMerger>(pruning);
      }},
     {"clustering",
      [](uint64_t, bool pruning) -> std::unique_ptr<Merger> {
@@ -143,17 +147,20 @@ TEST(PlannerPruningTest, NegativeCoefficientModelFallsBackToExhaustive) {
   for (const uint64_t seed : kSeeds) {
     Instance a(20, seed, "bounding-rect", "uniform");
     Instance b(20, seed, "bounding-rect", "uniform");
-    auto off = PairMerger(/*use_heap=*/true, /*pruning=*/false)
-                   .Merge(*a.ctx, model);
-    auto on =
-        PairMerger(/*use_heap=*/true, /*pruning=*/true).Merge(*b.ctx, model);
+    auto off = PairMerger(/*pruning=*/false).Merge(*a.ctx, model);
+    auto on = PairMerger(/*pruning=*/true).Merge(*b.ctx, model);
+    auto table = ReferencePairMerger().Merge(*a.ctx, model);
     ASSERT_TRUE(off.ok());
     ASSERT_TRUE(on.ok());
+    ASSERT_TRUE(table.ok());
     EXPECT_EQ(on->partition, off->partition) << "seed " << seed;
     EXPECT_EQ(on->cost, off->cost) << "seed " << seed;
-    // The fallback path is the exhaustive one, so even the effort metric
-    // matches.
+    EXPECT_EQ(off->partition, table->partition) << "seed " << seed;
+    EXPECT_EQ(off->cost, table->cost) << "seed " << seed;
+    // The fallback path is the unbounded one, so even the effort metric
+    // matches — and equals the Profit Table's.
     EXPECT_EQ(on->candidates, off->candidates) << "seed " << seed;
+    EXPECT_EQ(off->candidates, table->candidates) << "seed " << seed;
   }
 }
 
@@ -254,6 +261,156 @@ TEST(PlannerPruningTest, GroupsOutsideSearchWindowHaveNonPositiveBounds) {
     // actually exclude something for this test to mean anything.
     EXPECT_GT(outside_pairs, 0u) << "seed " << seed;
   }
+}
+
+// ------------------------------------------------ differential sweep
+
+// One random planning instance for the differential sweep: queries
+// clustered around a few hot spots (or, in the zero-area regime, bare
+// points), a uniform estimator of random density, and cost constants
+// drawn from one of five regimes chosen by the seed.
+struct SweepDraw {
+  QuerySet queries;
+  std::unique_ptr<UniformDensityEstimator> estimator;
+  BoundingRectProcedure procedure;
+  std::unique_ptr<MergeContext> ctx;
+  CostModel model;
+  std::string label;
+
+  explicit SweepDraw(uint64_t seed) {
+    Rng rng(seed);
+    const size_t n = static_cast<size_t>(rng.UniformInt(20, 200));
+    const int regime = static_cast<int>(seed % 5);
+    const bool points = regime == 3 && rng.Bernoulli(0.5);
+    model.k_m = rng.UniformDouble(0.5, 20.0);
+    model.k_t = rng.UniformDouble(0.1, 2.0);
+    model.k_u = rng.UniformDouble(0.0, 1.0);
+    switch (regime) {
+      case 1:  // Bounds invalid: the bounded mode must fall back.
+        model.k_u = -rng.UniformDouble(0.01, 1.0);
+        break;
+      case 2:  // No distance term: every search window is the domain.
+        model.k_t = 0.0;
+        break;
+      case 3:  // Zero per-message cost: the tightest windows; over bare
+               // points every group costs 0 and the windows are empty.
+        model.k_m = 0.0;
+        break;
+      case 4:  // Every merge pays: windows cover the whole domain.
+        model.k_m = rng.UniformDouble(1e3, 1e5);
+        break;
+      default:
+        break;
+    }
+    const double density = std::exp(rng.UniformDouble(std::log(1e-3), 0.0));
+    std::vector<Point> hotspots(static_cast<size_t>(rng.UniformInt(1, 6)));
+    for (Point& h : hotspots) {
+      h = {rng.UniformDouble(0, 1000), rng.UniformDouble(0, 1000)};
+    }
+    const double spread = rng.UniformDouble(5.0, 150.0);
+    std::vector<Rect> rects;
+    for (size_t i = 0; i < n; ++i) {
+      const Point& h = hotspots[static_cast<size_t>(rng.UniformInt(
+          0, static_cast<int64_t>(hotspots.size()) - 1))];
+      const double x = rng.Normal(h.x, spread);
+      const double y = rng.Normal(h.y, spread);
+      const double w = points ? 0.0 : rng.UniformDouble(1.0, 40.0);
+      const double ht = points ? 0.0 : rng.UniformDouble(1.0, 40.0);
+      rects.push_back(Rect(x, y, x + w, y + ht));
+    }
+    queries = QuerySet(rects);
+    estimator = std::make_unique<UniformDensityEstimator>(density);
+    ctx = std::make_unique<MergeContext>(&queries, estimator.get(),
+                                         &procedure);
+    std::ostringstream os;
+    os << "seed " << seed << " (|Q| " << n << ", regime " << regime
+       << (points ? " points" : "") << ", k_m " << model.k_m << ", k_t "
+       << model.k_t << ", k_u " << model.k_u << ", density " << density
+       << ")";
+    label = os.str();
+  }
+
+  // True when some singleton's search window is empty — the regime in
+  // which the bounded mode enumerates no candidates at all for a group.
+  bool HasEmptyWindow() const {
+    if (!model.SupportsBenefitBounds()) return false;
+    const plan::BenefitBounder bounder(*ctx, model);
+    std::vector<plan::GroupSummary> sums;
+    double max_cost = 0.0;
+    for (QueryId q = 0; q < queries.size(); ++q) {
+      sums.push_back(bounder.Summarize({q}));
+      max_cost = std::max(max_cost, sums.back().cost);
+    }
+    for (const plan::GroupSummary& s : sums) {
+      if (bounder.SearchWindow(s, max_cost).IsEmpty()) return true;
+    }
+    return false;
+  }
+};
+
+// Randomised differential sweep: the library PairMerger, in both scoring
+// modes, against the paper's rescanned Profit Table
+// (tests/reference_pair_merger.h), through Merge and through MergeFrom
+// from a random non-singleton start. Partition and cost must be
+// bit-equal; the unbounded mode must evaluate exactly the table's pairs.
+// The unbounded mode runs on a 2-thread pool, so the sweep also covers
+// the parallel EvaluatePairBenefits fan-out (TSan CI job).
+TEST(PairMergerDifferential, MatchesProfitTableAtRandomScaleAndCosts) {
+  struct ScopedThreads {
+    ScopedThreads() { exec::SetDefaultThreads(2); }
+    ~ScopedThreads() { exec::SetDefaultThreads(1); }
+  } threads;
+  constexpr uint64_t kDraws = 200;
+  uint64_t empty_window_draws = 0;
+  uint64_t unbounded_draws = 0;
+  uint64_t bounds_pruned = 0;
+  for (uint64_t seed = 1; seed <= kDraws; ++seed) {
+    const SweepDraw draw(seed);
+    const MergeContext& ctx = *draw.ctx;
+    if (draw.HasEmptyWindow()) ++empty_window_draws;
+    if (!draw.model.SupportsBenefitBounds()) ++unbounded_draws;
+
+    // A random start with fewer blocks than queries always holds a
+    // non-singleton group.
+    Rng start_rng(seed ^ 0x5eed);
+    const size_t n = ctx.num_queries();
+    const Partition start = RandomGroups(
+        n,
+        static_cast<size_t>(start_rng.UniformInt(
+            2, static_cast<int64_t>(n) - 1)),
+        &start_rng);
+
+    const MergeOutcome table = ReferencePairMergeFrom(
+        ctx, draw.model, SingletonPartition(n));
+    const MergeOutcome table_from =
+        ReferencePairMergeFrom(ctx, draw.model, start);
+    for (const bool pruning : {false, true}) {
+      const PairMerger merger(pruning);
+      auto merged = merger.Merge(ctx, draw.model);
+      ASSERT_TRUE(merged.ok()) << draw.label;
+      const MergeOutcome from = merger.MergeFrom(ctx, draw.model, start);
+      const std::string label =
+          draw.label + (pruning ? " bounded" : " unbounded");
+      EXPECT_EQ(merged->partition, table.partition) << label << " Merge";
+      EXPECT_EQ(merged->cost, table.cost) << label << " Merge";
+      EXPECT_EQ(from.partition, table_from.partition) << label << " MergeFrom";
+      EXPECT_EQ(from.cost, table_from.cost) << label << " MergeFrom";
+      // Without usable bounds (pruning off, or a negative coefficient)
+      // the loop scores every live pair exactly, as the table does.
+      if (!pruning || !draw.model.SupportsBenefitBounds()) {
+        EXPECT_EQ(merged->candidates, table.candidates) << label << " Merge";
+        EXPECT_EQ(from.candidates, table_from.candidates)
+            << label << " MergeFrom";
+      } else {
+        bounds_pruned += merged->bounds_pruned + from.bounds_pruned;
+      }
+    }
+    if (::testing::Test::HasFailure()) break;  // Report the first seed.
+  }
+  // The sweep must actually reach the adversarial regimes.
+  EXPECT_GT(empty_window_draws, 0u);
+  EXPECT_GT(unbounded_draws, 0u);
+  EXPECT_GT(bounds_pruned, 0u);
 }
 
 // ---------------------------------------------------------- context fixes

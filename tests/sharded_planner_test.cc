@@ -57,7 +57,7 @@ struct MergerCase {
 const MergerCase kMergers[] = {
     {"pair-merging",
      [](uint64_t) -> std::unique_ptr<Merger> {
-       return std::make_unique<PairMerger>(/*use_heap=*/true, /*pruning=*/true);
+       return std::make_unique<PairMerger>(/*pruning=*/true);
      }},
     {"clustering",
      [](uint64_t) -> std::unique_ptr<Merger> {
@@ -235,7 +235,7 @@ TEST(ShardedPlannerTest, BoundlessQueriesFlowThroughSeamPass) {
   for (const ShardAssign assign : kAssigns) {
     Instance inst(80, 31, /*empty_rects=*/2);
     const size_t n = inst.queries.size();
-    const PairMerger inner(/*use_heap=*/true, /*pruning=*/true);
+    const PairMerger inner(/*pruning=*/true);
     const ShardedPlanner planner(
         &inner, ShardedPlanner::Options{/*shards=*/4, assign,
                                         /*pruning=*/true});
