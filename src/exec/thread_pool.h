@@ -18,7 +18,7 @@ namespace exec {
 
 /// Fixed-size worker pool backing the planner's embarrassingly-parallel
 /// loops (profit-table construction, clustering bounds, search restarts,
-/// per-channel broadcast). The pool itself only runs opaque tasks; the
+/// hill-climb starts). The pool itself only runs opaque tasks; the
 /// determinism contract lives in ParallelFor/ParallelMap below, which
 /// address all work by index and leave every reduction to the caller, so
 /// results never depend on thread scheduling.

@@ -35,7 +35,9 @@ enum class ExtractionMode {
 /// A merged answer in flight on a multicast channel. The header carries
 /// the list of intended recipients and their extractors; every client on
 /// the channel sees the message and checks the header (that per-message
-/// work is the k6 term of the cost model).
+/// work is the k6 term of the cost model). The lossless simulator hands a
+/// message to its recipients only and accounts the other clients' header
+/// checks rather than replaying them.
 struct Message {
   /// Channel the message is broadcast on.
   size_t channel = 0;

@@ -1,6 +1,8 @@
 #include "net/server.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 
 #include "util/status.h"
 
@@ -17,12 +19,31 @@ Server::Server(const Table* table, const SpatialIndex* index,
 
 namespace {
 
+/// (query, position in the channel's allocation list) for every
+/// subscription of one channel's clients, sorted, so the clients
+/// subscribed to a query are one run in allocation order. Built once per
+/// channel and round, so a message's header costs its recipients, not the
+/// channel's clients.
+using SubscriberIndex = std::vector<std::pair<QueryId, uint32_t>>;
+
+SubscriberIndex IndexSubscribers(const std::vector<ClientId>& channel_clients,
+                                 const ClientSet& clients) {
+  SubscriberIndex subscribers;
+  for (size_t pos = 0; pos < channel_clients.size(); ++pos) {
+    for (QueryId q : clients.QueriesOf(channel_clients[pos])) {
+      subscribers.emplace_back(q, static_cast<uint32_t>(pos));
+    }
+  }
+  std::sort(subscribers.begin(), subscribers.end());
+  return subscribers;
+}
+
 /// Builds the message for one merged query on one channel.
 Message BuildMessage(size_t channel, const MergedQuery& merged,
                      const std::vector<ClientId>& channel_clients,
+                     const SubscriberIndex& subscribers,
                      const SpatialIndex& index, const Table& table,
-                     const QuerySet& queries, const ClientSet& clients,
-                     ExtractionMode mode) {
+                     const QuerySet& queries, ExtractionMode mode) {
   Message msg;
   msg.channel = channel;
 
@@ -53,17 +74,26 @@ Message BuildMessage(size_t channel, const MergedQuery& merged,
   }
 
   // Header: every channel client subscribed to a member query is a
-  // recipient, with one extractor entry per such query.
-  for (ClientId client : channel_clients) {
-    bool is_recipient = false;
-    for (QueryId member : merged.members) {
-      const auto& subs = clients.QueriesOf(client);
-      if (std::binary_search(subs.begin(), subs.end(), member)) {
-        msg.extractors.push_back({client, {member, queries.rect(member)}});
-        is_recipient = true;
-      }
+  // recipient, with one extractor entry per such query. Sorting the
+  // (client position, member index) hits lists recipients in allocation
+  // order and each recipient's extractors in member order.
+  std::vector<std::pair<uint32_t, uint32_t>> hits;
+  for (size_t k = 0; k < merged.members.size(); ++k) {
+    const QueryId member = merged.members[k];
+    for (auto it = std::lower_bound(subscribers.begin(), subscribers.end(),
+                                    std::pair<QueryId, uint32_t>(member, 0));
+         it != subscribers.end() && it->first == member; ++it) {
+      hits.emplace_back(it->second, static_cast<uint32_t>(k));
     }
-    if (is_recipient) msg.recipients.push_back(client);
+  }
+  std::sort(hits.begin(), hits.end());
+  msg.extractors.reserve(hits.size());
+  for (size_t i = 0; i < hits.size(); ++i) {
+    const auto [pos, k] = hits[i];
+    const ClientId client = channel_clients[pos];
+    const QueryId member = merged.members[k];
+    msg.extractors.push_back({client, {member, queries.rect(member)}});
+    if (i == 0 || hits[i - 1].first != pos) msg.recipients.push_back(client);
   }
   return msg;
 }
@@ -96,10 +126,12 @@ std::vector<Message> Server::ExecuteRoundMerged(
   for (size_t ch = 0; ch < allocation.size(); ++ch) {
     const uint32_t channel_total =
         static_cast<uint32_t>(merged_per_channel[ch].size());
+    const SubscriberIndex subscribers =
+        IndexSubscribers(allocation[ch], *clients_);
     uint32_t seq = 0;
     for (const MergedQuery& merged : merged_per_channel[ch]) {
-      Message msg = BuildMessage(ch, merged, allocation[ch], *index_,
-                                 *table_, *queries_, *clients_, mode);
+      Message msg = BuildMessage(ch, merged, allocation[ch], subscribers,
+                                 *index_, *table_, *queries_, mode);
       // Reliability header: contiguous per-channel sequence numbers and
       // the channel's announced round size, so clients can detect gaps
       // (including trailing losses) and NACK them.

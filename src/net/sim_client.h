@@ -35,6 +35,8 @@ struct ClientStats {
   /// processed this round (duplicated deliveries, redundant
   /// retransmissions). Only nonzero in reliable mode.
   size_t duplicates_ignored = 0;
+
+  bool operator==(const ClientStats&) const = default;
 };
 
 /// Delivery outcome of one subscription after a round under the lossy
@@ -68,6 +70,12 @@ class SimClient {
   /// Processes one broadcast message. Messages on a foreign channel are
   /// counted as misrouted and dropped (never trusted).
   void Receive(const Message& msg, const Table& table);
+
+  /// Charges `count` header checks for channel messages the client was
+  /// never handed — what Receive would have counted for messages not
+  /// addressed to it. The lossless broadcast delivers to recipients only
+  /// and accounts the rest of the k6 term here.
+  void CountSkippedHeaders(size_t count) { stats_.headers_checked += count; }
 
   /// The combined, deduplicated answer to one subscribed query after all
   /// messages of the round were received.

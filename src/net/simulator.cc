@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "exec/thread_pool.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
 #include "obs/phase_tracer.h"
@@ -21,7 +20,6 @@ MulticastSimulator::MulticastSimulator(const Table* table,
                                        bool verify_wire,
                                        std::optional<FaultPolicy> fault)
     : table_(table),
-      index_(index),
       queries_(queries),
       clients_(clients),
       enable_client_cache_(enable_client_cache),
@@ -224,8 +222,13 @@ RoundStats MulticastSimulator::RunRound(const DisseminationPlan& plan,
   // caches persist (the dynamic-scenario extension).
   if (plan.allocation != last_allocation_) {
     sim_clients_.clear();
+    slot_of_.clear();
     for (size_t ch = 0; ch < plan.allocation.size(); ++ch) {
       for (ClientId c : plan.allocation[ch]) {
+        if (c >= slot_of_.size()) slot_of_.resize(c + 1, kNoSlot);
+        // Every client listens to exactly one channel.
+        QSP_CHECK(slot_of_[c] == kNoSlot);
+        slot_of_[c] = sim_clients_.size();
         sim_clients_.emplace_back(c, ch, queries_, clients_->QueriesOf(c),
                                   enable_client_cache_,
                                   /*reliable=*/fault_.has_value());
@@ -279,54 +282,34 @@ RoundStats MulticastSimulator::RunRound(const DisseminationPlan& plan,
     }
   }
 
-  // Broadcast: every client on a channel sees every message on it. Each
-  // client listens to exactly one channel, so delivering channel-by-channel
-  // preserves every client's message order; with tracing on, that grouping
-  // gives one span per channel. With a fault policy, delivery instead runs
-  // the lossy channel + NACK recovery path (kept serial: the injector's
-  // seeded draw order is part of the reproducibility contract).
+  // Broadcast. Lossless delivery hands each message to its recipients in
+  // message order, so every client's delivery order is its channel's; the
+  // headers the other clients check and discard are accounted, not
+  // replayed (|M_ch| per client, the k6 term). With a fault policy, the
+  // lossy channel + NACK recovery path presents every message to every
+  // client instead (its seeded draw order is part of the reproducibility
+  // contract).
   if (fault_.has_value()) {
     RunLossyRound(messages, &stats);
-  } else if (exec::DefaultPool() != nullptr) {
-    // Channels partition the clients, so the per-channel passes are
-    // independent and fan out across the exec pool; within a channel,
-    // message order (and therefore every client's delivery order) is
-    // unchanged. The phase tracer is single-threaded, so the parallel
-    // pass records one span for the whole broadcast instead of one per
-    // channel.
-    obs::ScopedSpan broadcast_span("broadcast");
-    std::map<size_t, std::vector<const Message*>> by_channel;
-    for (const Message& msg : messages) by_channel[msg.channel].push_back(&msg);
-    std::vector<const std::vector<const Message*>*> channel_messages;
-    std::vector<size_t> channel_ids;
-    for (const auto& [channel, msgs] : by_channel) {
-      channel_ids.push_back(channel);
-      channel_messages.push_back(&msgs);
-    }
-    exec::ParallelFor(channel_ids.size(), [&](size_t k) {
-      const size_t channel = channel_ids[k];
-      for (const Message* msg : *channel_messages[k]) {
-        for (SimClient& client : sim_clients_) {
-          if (client.channel() == channel) client.Receive(*msg, *table_);
-        }
-      }
-    });
-  } else if (!obs::Enabled()) {
-    for (const Message& msg : messages) {
-      for (SimClient& client : sim_clients_) {
-        if (client.channel() == msg.channel) client.Receive(msg, *table_);
-      }
-    }
   } else {
-    std::map<size_t, std::vector<const Message*>> by_channel;
-    for (const Message& msg : messages) by_channel[msg.channel].push_back(&msg);
-    for (const auto& [channel, channel_messages] : by_channel) {
-      obs::ScopedSpan channel_span("broadcast/ch" + std::to_string(channel));
-      for (const Message* msg : channel_messages) {
-        for (SimClient& client : sim_clients_) {
-          if (client.channel() == channel) client.Receive(*msg, *table_);
-        }
+    obs::ScopedSpan broadcast_span("broadcast");
+    std::vector<size_t> channel_messages(plan.allocation.size(), 0);
+    std::vector<size_t> received(sim_clients_.size(), 0);
+    for (const Message& msg : messages) {
+      ++channel_messages[msg.channel];
+      for (ClientId recipient : msg.recipients) {
+        const size_t slot =
+            recipient < slot_of_.size() ? slot_of_[recipient] : kNoSlot;
+        QSP_CHECK(slot != kNoSlot &&
+                  sim_clients_[slot].channel() == msg.channel);
+        sim_clients_[slot].Receive(msg, *table_);
+        ++received[slot];
       }
+    }
+    for (size_t slot = 0; slot < sim_clients_.size(); ++slot) {
+      SimClient& client = sim_clients_[slot];
+      client.CountSkippedHeaders(channel_messages[client.channel()] -
+                                 received[slot]);
     }
   }
 

@@ -86,7 +86,10 @@ struct RoundStats {
 
 /// End-to-end dissemination simulator (the environment of Figure 15):
 /// builds clients per the plan's allocation, runs the server, broadcasts
-/// each message to every client on its channel, and verifies extraction.
+/// each message on its channel, and verifies extraction. Lossless
+/// delivery hands each message to its recipients only and accounts every
+/// other client's header check (k6 * |M_ch| per client) without
+/// replaying it.
 ///
 /// With a FaultPolicy the broadcast passes through a lossy channel
 /// (drops, duplicates, reordering, corruption, churn) and a bounded
@@ -119,8 +122,9 @@ class MulticastSimulator {
   /// Lossy broadcast pass plus bounded NACK/retransmission recovery.
   void RunLossyRound(const std::vector<Message>& messages, RoundStats* stats);
 
+  static constexpr size_t kNoSlot = static_cast<size_t>(-1);
+
   const Table* table_;
-  const SpatialIndex* index_;
   const QuerySet* queries_;
   const ClientSet* clients_;
   bool enable_client_cache_;
@@ -128,6 +132,9 @@ class MulticastSimulator {
   std::optional<FaultInjector> fault_;
   Server server_;
   std::vector<SimClient> sim_clients_;
+  /// slot_of_[c] = index of client c in sim_clients_ (kNoSlot when c has
+  /// no channel); rebuilt together with sim_clients_.
+  std::vector<size_t> slot_of_;
   Allocation last_allocation_;
   uint32_t round_counter_ = 0;
 };

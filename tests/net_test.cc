@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "channel/channel_cost.h"
@@ -140,6 +141,37 @@ TEST(ServerTest, RecipientsOnlyListSubscribedChannelClients) {
   }
 }
 
+TEST(ServerTest, HeaderListsEachRecipientOnceInAllocationOrder) {
+  Table table(Schema::Geographic(0));
+  ASSERT_TRUE(table.Insert({1.0, 1.0}).ok());
+  GridIndex index(table, Rect(0, 0, 10, 10));
+  QuerySet queries({Rect(0, 0, 2, 2), Rect(0, 0, 3, 3), Rect(0, 0, 4, 4)});
+  ClientSet clients;
+  for (int i = 0; i < 4; ++i) clients.AddClient();
+  clients.Subscribe(0, 0);  // Two members of the merged query.
+  clients.Subscribe(0, 2);
+  clients.Subscribe(1, 1);  // Query 1 has two subscribers.
+  clients.Subscribe(2, 1);
+  // Client 3 subscribes to nothing.
+  Server server(&table, &index, &queries, &clients);
+  // Members deliberately out of id order, clients out of id order.
+  const Allocation allocation = {{2, 3, 0, 1}};
+  const std::vector<std::vector<MergedQuery>> merged = {
+      {MergedQuery{{Rect(0, 0, 4, 4)}, {2, 0, 1}}}};
+  const auto messages = server.ExecuteRoundMerged(allocation, merged);
+  ASSERT_EQ(messages.size(), 1u);
+  const Message& msg = messages[0];
+  EXPECT_EQ(msg.recipients, (std::vector<ClientId>{2, 0, 1}));
+  std::vector<std::pair<ClientId, QueryId>> entries;
+  for (const HeaderEntry& entry : msg.extractors) {
+    entries.emplace_back(entry.client, entry.spec.query);
+    EXPECT_EQ(entry.spec.rect, queries.rect(entry.spec.query));
+  }
+  // Client 0's two entries follow the merged query's member order.
+  EXPECT_EQ(entries, (std::vector<std::pair<ClientId, QueryId>>{
+                         {2, 1}, {0, 2}, {0, 0}, {1, 1}}));
+}
+
 // ------------------------------------------------------------- SimClient
 
 TEST(SimClientTest, IgnoresMessagesNotAddressedToIt) {
@@ -249,6 +281,51 @@ TEST(SimulatorTest, FewerMessagesAfterMergingThanUnmerged) {
   const RoundStats stats = sim.RunRound(merged, proc);
   EXPECT_LT(stats.num_messages, unmerged.num_messages);
   EXPECT_TRUE(stats.all_answers_correct);
+}
+
+TEST(SimulatorTest, LosslessHeaderChecksFollowTheK6Term) {
+  // Every client checks every header on its channel (k6 * |M_ch|), also
+  // a client with no subscriptions, although only recipients are handed
+  // the messages.
+  World world(8, 500, 8, 5);
+  const ClientId idle = world.clients.AddClient();
+  DisseminationPlan plan;
+  plan.allocation = {{0, 1, idle}, {2, 3, 4}};
+  for (const auto& channel_clients : plan.allocation) {
+    Partition partition;
+    for (QueryId q : world.clients.QueriesOfClients(channel_clients)) {
+      partition.push_back({q});
+    }
+    plan.channel_partitions.push_back(std::move(partition));
+  }
+  BoundingRectProcedure proc;
+  Server server(&world.table, world.index.get(), &world.queries,
+                &world.clients);
+  std::vector<size_t> channel_messages(plan.allocation.size(), 0);
+  for (const Message& msg : server.ExecuteRound(plan, proc)) {
+    ++channel_messages[msg.channel];
+  }
+  ASSERT_GT(channel_messages[0], 0u);
+  ASSERT_GT(channel_messages[1], 0u);
+
+  MulticastSimulator sim(&world.table, world.index.get(), &world.queries,
+                         &world.clients);
+  const RoundStats stats = sim.RunRound(plan, proc);
+  EXPECT_TRUE(stats.all_answers_correct);
+  size_t expected_checks = 0;
+  for (size_t ch = 0; ch < plan.allocation.size(); ++ch) {
+    expected_checks += channel_messages[ch] * plan.allocation[ch].size();
+  }
+  EXPECT_EQ(stats.headers_checked, expected_checks);
+  ASSERT_EQ(sim.sim_clients().size(), 6u);
+  for (const SimClient& client : sim.sim_clients()) {
+    EXPECT_EQ(client.stats().headers_checked,
+              channel_messages[client.channel()])
+        << "client " << client.id();
+    if (client.id() == idle) {
+      EXPECT_EQ(client.stats().messages_processed, 0u);
+    }
+  }
 }
 
 TEST(ServerTest, ServerTagsMarkMembershipBits) {
